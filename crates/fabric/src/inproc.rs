@@ -74,6 +74,7 @@ impl Fabric for InProcFabric {
                 bytes: self.bytes.load(Ordering::Relaxed),
                 stalls: 0,
             }],
+            live_chans: self.store.live_chans() as u64,
             ..FabricStats::default()
         }
     }
@@ -100,6 +101,33 @@ mod tests {
         let s = f.stats();
         assert_eq!(s.total_msgs(), 2);
         assert_eq!(s.total_bytes(), 3);
+    }
+
+    #[test]
+    fn ping_pong_never_loses_a_wakeup() {
+        // Each side blocks on a receive its peer satisfies, so every
+        // message is a chance to lose a wakeup; a lost one stalls the
+        // exchange for the full 10 s receive timeout.
+        const ROUNDS: u32 = 10_000;
+        const WAIT: Duration = Duration::from_secs(10);
+        let f = std::sync::Arc::new(InProcFabric::new());
+        let start = std::time::Instant::now();
+        let f2 = std::sync::Arc::clone(&f);
+        let pong = std::thread::spawn(move || {
+            for i in 0..ROUNDS {
+                let m = f2.recv_within((0, 1, 0), WAIT).unwrap();
+                assert_eq!(m, i.to_le_bytes());
+                f2.send((1, 0, 0), m).unwrap();
+            }
+        });
+        for i in 0..ROUNDS {
+            f.send((0, 1, 0), i.to_le_bytes().to_vec()).unwrap();
+            assert_eq!(f.recv_within((1, 0, 0), WAIT).unwrap(), i.to_le_bytes());
+        }
+        pong.join().unwrap();
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(5), "ping-pong took {took:?}");
+        assert_eq!(f.stats().live_chans, 0);
     }
 
     #[test]

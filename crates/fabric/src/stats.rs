@@ -130,6 +130,12 @@ pub struct FabricStats {
     pub retransmits: u64,
     /// Wire re-deliveries suppressed by receiver sequence dedup.
     pub dups_dropped: u64,
+    /// Channels holding a receive-store entry right now (a gauge, not a
+    /// counter): channels with undelivered traffic or a parked receive,
+    /// plus every wire channel ever used, which keeps its sequence
+    /// cursor. Drained in-process and node-local channels are reclaimed,
+    /// so a quiescent in-process fabric reads 0.
+    pub live_chans: u64,
     /// Inbound frames discarded because their CRC-32C failed (line
     /// noise, real or injected). Each one is recovered by the sender's
     /// retransmit exactly like a dropped frame — a non-zero count with

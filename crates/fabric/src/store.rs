@@ -13,14 +13,32 @@
 //! arrivals until the gap fills and silently drops re-deliveries of
 //! already-consumed or already-held sequence numbers (counted in
 //! [`MsgStore::dups_dropped`]).
+//!
+//! The store pays only for live channels. A channel's entry is created
+//! by its first delivery (or a receive that starts waiting) and removed
+//! as soon as it is idle again — no ready or held message, no partial
+//! reassembly, no parked receive — unless it ever carried a wire
+//! sequence number. A wire channel keeps its entry for good: its
+//! expected-sequence cursor is what turns a late retransmit of an
+//! already-consumed frame into a counted duplicate instead of a second
+//! delivery. So in-process and node-local traffic costs O(live
+//! channels) however many tags a job cycles through, and the count is
+//! visible as [`MsgStore::live_chans`] (summed into
+//! `FabricStats::live_chans`). Reclaim is eager, checked wherever a
+//! channel can go idle; a periodic sweep would put its O(n) pass on
+//! some unlucky request's latency.
+//!
+//! Deliveries wake receivers through a [`GatedCondvar`], which signals
+//! only when a receive has exhausted its spin budget and parked.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::error::{BlockedRecv, FabricError, FabricResult, TimeoutDiag};
-use crate::wait::Spinner;
+use crate::wait::{GatedCondvar, Spinner};
 use crate::ChanKey;
 
 /// One wire arrival: its segment coordinates plus payload. A whole
@@ -58,6 +76,18 @@ struct ChanState {
 }
 
 impl ChanState {
+    /// Whether the entry carries nothing worth keeping: no message, no
+    /// partial reassembly, no parked receive, and no wire sequence
+    /// cursor (`next_seq == 0`: the channel never carried a wire frame,
+    /// so no late retransmit can need the cursor to be dropped).
+    fn is_idle(&self) -> bool {
+        self.ready.is_empty()
+            && self.held.is_empty()
+            && self.assembling.is_none()
+            && self.waiting_since.is_none()
+            && self.next_seq == 0
+    }
+
     /// Absorb the next in-sequence frame: whole messages go straight to
     /// `ready`; segments accumulate in `assembling` until the striped
     /// message is complete, so FIFO hold-back release only ever exposes
@@ -91,12 +121,22 @@ impl ChanState {
     }
 }
 
+type Chans = HashMap<ChanKey, ChanState>;
+
+/// Remove `key`'s entry if it has gone idle (see [`ChanState::is_idle`]).
+fn reclaim_if_idle(chans: &mut Chans, key: &ChanKey) {
+    if chans.get(key).is_some_and(ChanState::is_idle) {
+        chans.remove(key);
+    }
+}
+
 /// Per-channel FIFO message store with blocking receive.
 pub struct MsgStore {
     /// Backend name, for timeout diagnostics.
     backend: &'static str,
-    chans: Mutex<HashMap<ChanKey, ChanState>>,
-    cv: Condvar,
+    chans: Mutex<Chans>,
+    /// Wakes receives parked on any channel of this store.
+    arrived: GatedCondvar,
     /// Wire re-deliveries suppressed by sequence dedup.
     dups: AtomicU64,
 }
@@ -107,12 +147,12 @@ impl MsgStore {
         MsgStore {
             backend,
             chans: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
+            arrived: GatedCondvar::new(),
             dups: AtomicU64::new(0),
         }
     }
 
-    fn lock(&self) -> FabricResult<std::sync::MutexGuard<'_, HashMap<ChanKey, ChanState>>> {
+    fn lock(&self) -> FabricResult<MutexGuard<'_, Chans>> {
         self.chans.lock().map_err(|_| FabricError::QueuePoisoned {
             what: "receive store",
         })
@@ -123,7 +163,7 @@ impl MsgStore {
     pub fn push(&self, key: ChanKey, payload: Vec<u8>) {
         if let Ok(mut g) = self.lock() {
             g.entry(key).or_default().ready.push_back(payload);
-            self.cv.notify_all();
+            self.arrived.wake_all();
         }
     }
 
@@ -183,7 +223,7 @@ impl MsgStore {
                 st.absorb(f);
                 st.next_seq += 1;
             }
-            self.cv.notify_all();
+            self.arrived.wake_all();
             (true, st.next_seq)
         } else if let std::collections::btree_map::Entry::Vacant(e) = st.held.entry(seq) {
             e.insert(SegFrame {
@@ -213,6 +253,7 @@ impl MsgStore {
             if let Some(st) = g.get_mut(&key) {
                 if let Some(m) = st.ready.pop_front() {
                     st.waiting_since = None;
+                    reclaim_if_idle(&mut g, &key);
                     return Ok(m);
                 }
             }
@@ -229,6 +270,7 @@ impl MsgStore {
                 if let Some(st) = g.get_mut(&key) {
                     st.waiting_since = None;
                 }
+                reclaim_if_idle(&mut g, &key);
                 return Err(FabricError::Timeout(Box::new(TimeoutDiag {
                     backend: self.backend,
                     chan: key,
@@ -255,7 +297,7 @@ impl MsgStore {
             // past between the check above and this subtraction.
             let wait = deadline.saturating_duration_since(now);
             let (guard, _timed_out) =
-                self.cv
+                self.arrived
                     .wait_timeout(g, wait)
                     .map_err(|_| FabricError::QueuePoisoned {
                         what: "receive store",
@@ -271,7 +313,23 @@ impl MsgStore {
     /// allocating.
     pub fn try_pop(&self, key: ChanKey) -> FabricResult<Option<Vec<u8>>> {
         let mut g = self.lock()?;
-        Ok(g.get_mut(&key).and_then(|st| st.ready.pop_front()))
+        // One hash for lookup, pop and reclaim: this is the svc engine's
+        // polling path.
+        let Entry::Occupied(mut e) = g.entry(key) else {
+            return Ok(None);
+        };
+        let m = e.get_mut().ready.pop_front();
+        if e.get().is_idle() {
+            e.remove();
+        }
+        Ok(m)
+    }
+
+    /// Channels that currently hold an entry: those with a queued, held
+    /// or partly reassembled message or a parked receive, plus every
+    /// wire channel ever used (each keeps its sequence cursor).
+    pub fn live_chans(&self) -> usize {
+        self.lock().map_or(0, |g| g.len())
     }
 
     /// Receives currently blocked in this store, for the watchdog.
@@ -300,14 +358,16 @@ impl MsgStore {
         self.dups.load(Ordering::Relaxed)
     }
 
-    /// Drop messages that were delivered but never received. Sequence
-    /// state survives: senders keep counting across iterations, so the
-    /// expected-sequence cursor must too.
+    /// Drop messages that were delivered but never received, and the
+    /// entries this leaves idle. Sequence state survives: senders keep
+    /// counting across iterations, so the expected-sequence cursor must
+    /// too.
     pub fn clear_ready(&self) {
         if let Ok(mut g) = self.lock() {
-            for st in g.values_mut() {
+            g.retain(|_, st| {
                 st.ready.clear();
-            }
+                !st.is_idle()
+            });
         }
     }
 }
@@ -489,5 +549,81 @@ mod tests {
         s.clear_ready();
         s.deliver_seq(K, 1, vec![1]);
         assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![1]);
+    }
+
+    #[test]
+    fn drained_push_channels_leave_no_entries() {
+        let s = MsgStore::new("test");
+        for i in 0..100_000u32 {
+            let key = (i as usize % 8, 1, i);
+            s.push(key, vec![i as u8]);
+            assert_eq!(s.try_pop(key).unwrap(), Some(vec![i as u8]));
+        }
+        assert_eq!(s.live_chans(), 0);
+        // A blocking pop of a ready message reclaims too.
+        s.push(K, vec![1]);
+        s.pop_within(K, Duration::from_secs(1)).unwrap();
+        assert_eq!(s.live_chans(), 0);
+    }
+
+    #[test]
+    fn timed_out_pop_leaves_no_entry() {
+        let s = MsgStore::new("test");
+        assert!(s.pop_within(K, Duration::from_millis(5)).is_err());
+        assert_eq!(s.live_chans(), 0);
+        assert!(s.blocked().is_empty());
+    }
+
+    #[test]
+    fn drained_wire_channel_keeps_its_cursor() {
+        let s = MsgStore::new("test");
+        assert!(s.deliver_seq(K, 0, vec![0]));
+        assert_eq!(s.try_pop(K).unwrap(), Some(vec![0]));
+        assert_eq!(s.live_chans(), 1, "the wire cursor survives the drain");
+        // A late retransmit of the consumed frame is a counted duplicate,
+        // never a second delivery.
+        assert!(!s.deliver_seq(K, 0, vec![0]));
+        assert_eq!(s.dups_dropped(), 1);
+        assert_eq!(s.try_pop(K).unwrap(), None);
+    }
+
+    #[test]
+    fn clear_ready_frees_idle_entries_only() {
+        let s = MsgStore::new("test");
+        let (push_only, held, wire) = ((0, 1, 1), (0, 1, 2), (0, 1, 3));
+        s.push(push_only, vec![1]);
+        s.deliver_seq(held, 1, vec![1]);
+        s.deliver_seq(wire, 0, vec![0]);
+        assert_eq!(s.live_chans(), 3);
+        s.clear_ready();
+        assert_eq!(s.live_chans(), 2, "only the push-only entry goes");
+        assert_eq!(s.try_pop(push_only).unwrap(), None);
+        // The held frame survived and releases once its gap fills.
+        s.deliver_seq(held, 0, vec![0]);
+        assert_eq!(s.try_pop(held).unwrap(), Some(vec![0]));
+        assert_eq!(s.try_pop(held).unwrap(), Some(vec![1]));
+        // The wire cursor survived: seq 0 is still a duplicate.
+        assert!(!s.deliver_seq(wire, 0, vec![0]));
+        assert!(s.deliver_seq(wire, 1, vec![1]));
+        assert_eq!(s.try_pop(wire).unwrap(), Some(vec![1]));
+    }
+
+    #[test]
+    fn parked_pop_is_woken_by_push() {
+        let s = std::sync::Arc::new(MsgStore::new("test"));
+        let s2 = std::sync::Arc::clone(&s);
+        let t = std::thread::spawn(move || {
+            let start = Instant::now();
+            let m = s2.pop_within(K, Duration::from_secs(10));
+            (m, start.elapsed())
+        });
+        // Far past the spin budget, so the receive has really parked.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(s.blocked().len(), 1, "parked receive still listed");
+        s.push(K, vec![7]);
+        let (m, waited) = t.join().unwrap();
+        assert_eq!(m.unwrap(), vec![7]);
+        assert!(waited < Duration::from_secs(1), "woken late: {waited:?}");
+        assert_eq!(s.live_chans(), 0);
     }
 }

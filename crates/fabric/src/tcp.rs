@@ -88,7 +88,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -100,7 +100,7 @@ use crate::pool::{FrameBuf, FramePool, PoolStats, WriteCursor};
 use crate::stats::{FabricStats, LaneStats, LatencyHist};
 use crate::store::MsgStore;
 use crate::timeout::sync_timeout;
-use crate::wait::{Spinner, WorkSignal};
+use crate::wait::{GatedCondvar, Spinner, WorkSignal};
 use crate::wire::{Frame, FrameDecoder, FrameKind, WireError};
 use crate::{ChanKey, Fabric};
 
@@ -308,7 +308,7 @@ struct SendQueue {
     /// queue backpressure cannot bound, so it gets a high-water mark.
     ctrl_hwm: AtomicU64,
     /// Signalled when the user queue drains below capacity.
-    can_push: Condvar,
+    can_push: GatedCondvar,
 }
 
 impl SendQueue {
@@ -317,7 +317,7 @@ impl SendQueue {
             inner: Mutex::new(QueueInner::default()),
             cap,
             ctrl_hwm: AtomicU64::new(0),
-            can_push: Condvar::new(),
+            can_push: GatedCondvar::new(),
         }
     }
 
@@ -406,9 +406,8 @@ impl SendQueue {
                 None => break,
             }
         }
-        drop(g);
         if popped_user {
-            self.can_push.notify_all();
+            self.can_push.wake_all();
         }
         moved
     }
@@ -422,10 +421,9 @@ impl SendQueue {
     }
 
     fn close(&self) {
-        if let Ok(mut g) = self.inner.lock() {
-            g.closed = true;
-        }
-        self.can_push.notify_all();
+        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        g.closed = true;
+        self.can_push.wake_all();
     }
 }
 
@@ -2349,6 +2347,7 @@ impl Fabric for TcpFabric {
             retransmits: mesh.retransmits.load(Ordering::Relaxed),
             striped_msgs: mesh.striped_msgs.load(Ordering::Relaxed),
             dups_dropped: mesh.stores.iter().map(|s| s.dups_dropped()).sum(),
+            live_chans: mesh.stores.iter().map(|s| s.live_chans() as u64).sum(),
             corrupt_frames: mesh.corrupt_frames.load(Ordering::Relaxed),
             ack_rtt: mesh.ack_rtt.snapshot(),
             ctrl_queue_hwm: mesh
@@ -2515,6 +2514,29 @@ mod tests {
             },
         )
         .expect("loopback fabric")
+    }
+
+    #[test]
+    fn parked_sender_is_woken_when_its_queue_drains() {
+        let q = Arc::new(SendQueue::new(1));
+        let pool = FramePool::new();
+        assert!(matches!(q.push_user(pool.copy_bytes(&[1])), Ok(false)));
+        let q2 = Arc::clone(&q);
+        let second = pool.copy_bytes(&[2]);
+        let t = std::thread::spawn(move || {
+            let start = Instant::now();
+            // Waits out a full queue for up to sync_timeout (10 s).
+            let stalled = q2.push_user(second).ok();
+            (stalled, start.elapsed())
+        });
+        // Far past the spin budget, so the sender has really parked.
+        std::thread::sleep(Duration::from_millis(50));
+        let mut cursor = WriteCursor::new();
+        assert_eq!(q.pop_into(&mut cursor, usize::MAX, &mut Vec::new()), 1);
+        let (stalled, waited) = t.join().unwrap();
+        assert_eq!(stalled, Some(true), "the push stalled, then completed");
+        assert!(waited < Duration::from_secs(1), "woken late: {waited:?}");
+        assert_eq!(q.depth(), 1);
     }
 
     #[test]

@@ -13,8 +13,14 @@
 //! Tuning: `PIPMCOLL_SPIN_US` is the spin budget in microseconds
 //! (default 50; 0 disables spinning and parks immediately, the pre-spin
 //! behaviour — the right setting for heavily oversubscribed hosts).
+//!
+//! The spin phase makes most waits end without a park, so most wakes
+//! find nobody parked. [`GatedCondvar`] makes those wakes free: it
+//! counts its parked waiters and skips the condvar signal (a
+//! `futex_wake` syscall even when uncontended) while the count is zero.
 
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, LockResult, MutexGuard, OnceLock, WaitTimeoutResult};
 use std::time::{Duration, Instant};
 
 /// Spin budget before a waiter parks on its condvar. Parsed once;
@@ -78,6 +84,63 @@ impl Spinner {
             }
         }
         true
+    }
+}
+
+/// A condvar that only signals when a waiter is parked on it: the park
+/// primitive of every hot-path blocking wait (receive stores, send-queue
+/// backpressure, the runtime's address boards, flags and barrier).
+///
+/// Both sides hold the caller's mutex — the one that guards the awaited
+/// state — around their use of the count:
+/// - [`GatedCondvar::wait_timeout`] increments the count under the mutex
+///   before it parks and decrements it after it wakes (the mutex is held
+///   again by then);
+/// - [`GatedCondvar::wake_all`] must be called with the mutex held,
+///   after the state change it announces, and signals only when the
+///   count is nonzero.
+///
+/// No wakeup can be lost. The mutex orders the waker's critical section
+/// against the waiter's check-then-register. If the waker runs first,
+/// the waiter's check sees the new state and never parks. If the waiter
+/// registers first, the waker sees a nonzero count and signals; the
+/// waiter released the mutex and entered the condvar atomically, so
+/// the signal reaches it.
+#[derive(Default)]
+pub struct GatedCondvar {
+    cv: Condvar,
+    /// Waiters parked (or about to park) on `cv`. Only touched with the
+    /// caller's mutex held, so relaxed ordering suffices.
+    waiters: AtomicUsize,
+}
+
+impl GatedCondvar {
+    /// A condvar with no waiters.
+    pub fn new() -> GatedCondvar {
+        GatedCondvar::default()
+    }
+
+    /// Park on the condvar for at most `dur`, exactly like
+    /// [`Condvar::wait_timeout`], counted so that [`GatedCondvar::wake_all`]
+    /// knows to signal.
+    pub fn wait_timeout<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        dur: Duration,
+    ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
+        self.waiters.fetch_add(1, Ordering::Relaxed);
+        let r = self.cv.wait_timeout(guard, dur);
+        // Poisoned or not, the guard is held again here.
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        r
+    }
+
+    /// Wake every parked waiter; a relaxed load and nothing else when
+    /// nobody is parked. Call with the waiters' mutex held.
+    pub fn wake_all(&self) {
+        if self.waiters.load(Ordering::Relaxed) != 0 {
+            self.cv.notify_all();
+        }
     }
 }
 
@@ -172,6 +235,32 @@ mod tests {
         assert!(turns > 0, "a 50µs budget affords at least one turn");
         // Once exhausted, it stays exhausted.
         assert!(!s.turn());
+    }
+
+    #[test]
+    fn gated_condvar_wakes_a_parked_waiter() {
+        use std::sync::{Arc, Mutex};
+        let state = Arc::new((Mutex::new(false), GatedCondvar::new()));
+        // Nobody parked: the wake is a no-op.
+        state.1.wake_all();
+        let s2 = Arc::clone(&state);
+        let waiter = std::thread::spawn(move || {
+            let start = Instant::now();
+            let mut g = s2.0.lock().unwrap();
+            while !*g {
+                g = s2.1.wait_timeout(g, Duration::from_secs(10)).unwrap().0;
+            }
+            start.elapsed()
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        {
+            let mut g = state.0.lock().unwrap();
+            *g = true;
+            state.1.wake_all();
+        }
+        let waited = waiter.join().unwrap();
+        assert!(waited < Duration::from_secs(1), "woken late: {waited:?}");
+        assert_eq!(state.1.waiters.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! normally, so a single hung or failed rank degrades the run into a
 //! diagnostic instead of a wedged test suite.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use pipmcoll_fabric::Spinner;
+use pipmcoll_fabric::{GatedCondvar, Spinner};
 
 struct BarrierState {
     /// Ranks arrived in the current generation.
@@ -25,7 +25,8 @@ struct BarrierState {
 pub struct TimedBarrier {
     n: usize,
     state: Mutex<BarrierState>,
-    cv: Condvar,
+    /// Wakes parties parked on the current generation.
+    released: GatedCondvar,
 }
 
 impl TimedBarrier {
@@ -38,7 +39,7 @@ impl TimedBarrier {
                 arrived: 0,
                 generation: 0,
             }),
-            cv: Condvar::new(),
+            released: GatedCondvar::new(),
         }
     }
 
@@ -58,7 +59,7 @@ impl TimedBarrier {
         if g.arrived == self.n {
             g.arrived = 0;
             g.generation += 1;
-            self.cv.notify_all();
+            self.released.wake_all();
             return Ok(());
         }
         loop {
@@ -81,7 +82,7 @@ impl TimedBarrier {
                 ));
             }
             let (guard, _) = self
-                .cv
+                .released
                 .wait_timeout(g, deadline.saturating_duration_since(now))
                 .map_err(|_| "barrier lock poisoned")?;
             g = guard;
@@ -122,6 +123,22 @@ mod tests {
             b.wait_within(Duration::from_secs(2)).unwrap();
         }
         t.join().unwrap();
+    }
+
+    #[test]
+    fn parked_party_is_released_by_the_last_arrival() {
+        let b = Arc::new(TimedBarrier::new(2));
+        let b2 = Arc::clone(&b);
+        let t = std::thread::spawn(move || {
+            let start = Instant::now();
+            b2.wait_within(Duration::from_secs(10)).unwrap();
+            start.elapsed()
+        });
+        // Far past the spin budget, so the first party has really parked.
+        std::thread::sleep(Duration::from_millis(50));
+        b.wait_within(Duration::from_secs(10)).unwrap();
+        let waited = t.join().unwrap();
+        assert!(waited < Duration::from_secs(1), "woken late: {waited:?}");
     }
 
     #[test]

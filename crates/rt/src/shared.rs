@@ -9,7 +9,7 @@
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pipmcoll_model::dtype::reduce_into;
@@ -21,7 +21,7 @@ use pipmcoll_model::{Datatype, ReduceOp};
 /// (malformed values panic with a diagnostic).
 pub use pipmcoll_fabric::sync_timeout;
 
-use pipmcoll_fabric::Spinner;
+use pipmcoll_fabric::{GatedCondvar, Spinner};
 
 /// A fixed-size byte buffer other ranks may read/write, PiP-style.
 ///
@@ -194,7 +194,8 @@ pub struct Board {
     /// The posting rank, for diagnostics.
     owner: usize,
     posted: Mutex<HashMap<u16, Posted>>,
-    cv: Condvar,
+    /// Wakes fetches parked on a slot not yet posted.
+    on_post: GatedCondvar,
 }
 
 impl Board {
@@ -210,7 +211,7 @@ impl Board {
     pub fn post(&self, slot: u16, p: Posted) {
         let mut g = self.posted.lock().unwrap();
         g.insert(slot, p);
-        self.cv.notify_all();
+        self.on_post.wake_all();
     }
 
     /// Blocking lookup of `slot`.
@@ -264,7 +265,7 @@ impl Board {
                 ));
             }
             let (guard, _timed_out) = self
-                .cv
+                .on_post
                 .wait_timeout(g, deadline.saturating_duration_since(now))
                 .map_err(|_| format!("rank {} address board poisoned", self.owner))?;
             g = guard;
@@ -283,7 +284,8 @@ pub struct FlagSet {
     /// The waiting rank, for diagnostics.
     owner: usize,
     counts: Mutex<HashMap<u16, u32>>,
-    cv: Condvar,
+    /// Wakes waits parked on a flag below its target count.
+    on_signal: GatedCondvar,
 }
 
 impl FlagSet {
@@ -299,7 +301,7 @@ impl FlagSet {
     pub fn signal(&self, flag: u16) {
         let mut g = self.counts.lock().unwrap();
         *g.entry(flag).or_default() += 1;
-        self.cv.notify_all();
+        self.on_signal.wake_all();
     }
 
     /// Block until `flag` has been signalled at least `count` times.
@@ -351,7 +353,7 @@ impl FlagSet {
                 ));
             }
             let (guard, _timed_out) = self
-                .cv
+                .on_signal
                 .wait_timeout(g, deadline.saturating_duration_since(now))
                 .map_err(|_| format!("rank {} flag set poisoned", self.owner))?;
             g = guard;
@@ -461,6 +463,51 @@ mod tests {
         );
         let p = t.join().unwrap();
         assert_eq!(p.key, BufKey::Send(0));
+    }
+
+    /// Run `wait` on a thread, sleep far past the spin budget so it
+    /// really parks, run `wake`, and return how long the wait took.
+    fn parked_wait_time(
+        wait: impl FnOnce() + Send + 'static,
+        wake: impl FnOnce(),
+    ) -> std::time::Duration {
+        let t = std::thread::spawn(move || {
+            let start = std::time::Instant::now();
+            wait();
+            start.elapsed()
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        wake();
+        t.join().unwrap()
+    }
+
+    #[test]
+    fn parked_fetch_is_woken_by_post() {
+        let board = Arc::new(Board::default());
+        let b2 = board.clone();
+        let posted = Posted {
+            key: BufKey::Recv(1),
+            offset: 0,
+            len: 4,
+        };
+        let waited = parked_wait_time(
+            move || {
+                b2.try_fetch_within(2, Duration::from_secs(10)).unwrap();
+            },
+            || board.post(2, posted),
+        );
+        assert!(waited < Duration::from_secs(1), "woken late: {waited:?}");
+    }
+
+    #[test]
+    fn parked_flag_wait_is_woken_by_signal() {
+        let flags = Arc::new(FlagSet::default());
+        let f2 = flags.clone();
+        let waited = parked_wait_time(
+            move || f2.try_wait_within(4, 1, Duration::from_secs(10)).unwrap(),
+            || flags.signal(4),
+        );
+        assert!(waited < Duration::from_secs(1), "woken late: {waited:?}");
     }
 
     #[test]

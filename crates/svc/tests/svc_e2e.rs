@@ -332,3 +332,74 @@ fn dropping_the_service_fails_unadmitted_requests_with_shutdown() {
     drop(svc);
     assert_eq!(req.wait().unwrap_err(), SvcError::Shutdown);
 }
+
+/// The receive store holds entries only for live channels. Mixed kinds
+/// and rotating roots put traffic on a different set of `(src, dst,
+/// tag)` channels on every pass through the tag space; a store that
+/// kept an entry per channel ever used would grow with each wrap. Here
+/// the store must stay small during the run and empty at quiescence.
+#[test]
+fn receive_store_stays_bounded_across_tag_space_wraps() {
+    let world = 8;
+    let (jobs_n, window, wraps) = (2usize, 8usize, 8usize);
+    let cfg = SvcConfig {
+        seq_bits: 4, // 16 slots per job
+        ..SvcConfig::new(world)
+    };
+    let per_job = (1usize << cfg.seq_bits) * wraps;
+    let fabric = inproc();
+    let svc = Svc::new(Arc::clone(&fabric), cfg).unwrap();
+    let jobs: Vec<_> = (0..jobs_n).map(|_| svc.job().unwrap()).collect();
+
+    let mut queues: Vec<std::collections::VecDeque<(Request, Vec<Vec<u8>>)>> =
+        (0..jobs_n).map(|_| Default::default()).collect();
+    let check = |(req, want): (Request, Vec<Vec<u8>>)| {
+        assert_eq!(req.wait().expect("collective completes"), want);
+    };
+    let mut peak = 0u64;
+    for k in 0..per_job {
+        for (job, queue) in jobs.iter().zip(&mut queues) {
+            let seed = k as i32 * 10;
+            let root = k % world;
+            let launched = match k % 4 {
+                0 => {
+                    let (inputs, want) = allreduce_inputs(world, seed);
+                    let req = job.iallreduce(Datatype::Int32, ReduceOp::Sum, inputs);
+                    (req, vec![ints(&want); world])
+                }
+                1 => {
+                    let inputs: Vec<_> = (0..world).map(|r| ints(&[seed + r as i32])).collect();
+                    let all = inputs.concat();
+                    (job.iallgather(inputs), vec![all; world])
+                }
+                2 => {
+                    let data = ints(&[seed, root as i32]);
+                    (job.ibcast(root, data.clone()), vec![data; world])
+                }
+                _ => {
+                    let chunks: Vec<_> = (0..world).map(|r| ints(&[seed - r as i32])).collect();
+                    (job.iscatter(root, chunks.clone()), chunks)
+                }
+            };
+            queue.push_back(launched);
+            if queue.len() == window {
+                check(queue.pop_front().unwrap());
+            }
+        }
+        peak = peak.max(fabric.stats().live_chans);
+    }
+    for queue in queues {
+        queue.into_iter().for_each(check);
+    }
+    // At most jobs × window collectives are in flight, and a phase of
+    // each queues about one message per rank. Keeping an entry per
+    // channel ever used instead reaches ~400 here.
+    let bound = (jobs_n * window * world) as u64;
+    assert!(peak <= bound, "peak live channels {peak} > {bound}");
+    assert_eq!(fabric.stats().live_chans, 0, "drained store holds entries");
+    let stats = svc.stats();
+    for j in &stats.jobs {
+        assert_eq!(j.completed as usize, per_job);
+        assert_eq!(j.failed, 0);
+    }
+}
